@@ -23,27 +23,32 @@
 //	symplfied -analyze -app tcas
 //	symplfied -harden -app tcas -harden-out hardened.sym
 //
-// With -serve the process becomes a distributed campaign coordinator
-// instead of running the search itself: it partitions the injection space
-// into -tasks tasks and serves them over HTTP to symworker processes (the
-// paper's 150-node cluster harness, networked). -checkpoint/-resume then
-// journal completed tasks so a killed coordinator restarts without
-// re-running finished work:
+// With -serve the process becomes the campaign service instead of running
+// the search itself (the paper's 150-node cluster harness, networked): it
+// splits the command line's campaign into -tasks tasks, serves them over the
+// versioned /v1 HTTP API to symworker processes, and prints the merged
+// report once every campaign has drained. Further campaigns can be POSTed to
+// /v1/campaigns meanwhile; -tenant and -priority place the initial one, and
+// -max-leased and -max-queued set per-tenant quotas. Without -store the
+// service holds its campaigns in memory. With -store DIR it journals every
+// campaign there, so a killed service restarted with the same flags resumes
+// each open campaign and re-serves only its unsettled tasks:
 //
-//	symplfied -serve :8080 -app tcas -class register -goal wrong-advisory -tasks 150 -checkpoint tasks.jsonl
+//	symplfied -serve :8080 -store campaigns -app tcas -class register -goal wrong-advisory -tasks 150
 //	symworker -coordinator http://host:8080   (on each worker machine)
+//	symplfied -campaigns http://host:8080     (list the service's campaigns)
 //
-// Long campaigns can be hardened operationally: -timeout bounds the whole
-// run, -per-injection-timeout bounds each injection, -checkpoint journals
-// completed injections to a JSON-lines file, -resume skips journaled ones,
-// and -retries re-runs transient failures with degraded budgets. SIGINT
-// stops the search gracefully, flushing the journal and printing the partial
-// report, so the campaign can be resumed later.
+// Long local searches can be hardened operationally: -timeout bounds the
+// whole run, -per-injection-timeout bounds each injection, -checkpoint
+// journals completed injections to a JSON-lines file, -resume skips
+// journaled ones, and -retries re-runs transient failures with degraded
+// budgets. SIGINT stops the search gracefully, flushing the journal and
+// printing the partial report, so the campaign can be resumed later.
 //
 // Observability: -metrics-addr serves /metrics (Prometheus text),
 // /debug/vars (expvar) and /debug/pprof on a side port, and -progress logs a
 // one-line report (states/s, frontier, findings, ETA) at the given interval.
-// In -serve mode the coordinator's own address also serves these endpoints.
+// In -serve mode the service's own address also serves these endpoints.
 package main
 
 import (
@@ -109,20 +114,20 @@ func run(ctx context.Context, args []string) error {
 		graphMax  = fs.Int("graph-nodes", 0, "node cap for -graph (0: default)")
 		timeout   = fs.Duration("timeout", 0, "wall-clock bound for the whole search (0: none)")
 		injTO     = fs.Duration("per-injection-timeout", 0, "wall-clock bound per injection (0: none)")
-		ckpt      = fs.String("checkpoint", "", "journal completed injections (or, with -serve, completed tasks) to this JSON-lines file")
-		resume    = fs.Bool("resume", false, "skip injections/tasks already recorded in -checkpoint")
+		ckpt      = fs.String("checkpoint", "", "journal completed injections (or -crossval points) of a local run to this JSON-lines file; -serve journals to -store instead")
+		resume    = fs.Bool("resume", false, "skip injections already recorded in -checkpoint")
 		retries   = fs.Int("retries", 0, "retry transiently failed injections up to N times with degraded budgets")
 		xval      = fs.Bool("crossval", false, "cross-validate the symbolic engine against concrete injection (differential testing; -class/-goal unused); exits nonzero on a conclusive SymbolicMiss")
 		xvalSeed  = fs.Int64("crossval-seed", 2008, "seed for -crossval's per-site random value derivation")
 		xvalRand  = fs.Int("crossval-random", 3, "random values per site for -crossval, on top of the three extremes")
 		xvalOut   = fs.String("crossval-report", "", "write the full -crossval mismatch report (JSON) to this file")
-		serve     = fs.String("serve", "", "serve the campaign to symworker processes on this address (e.g. :8080) instead of searching locally")
+		serve     = fs.String("serve", "", "run the campaign service on this address (e.g. :8080), serving the campaign to symworker processes instead of searching locally")
 		lease     = fs.Duration("lease", 0, "task lease duration for -serve; a worker silent this long loses its task (0: 30s)")
-		storeDir  = fs.String("store", "", "with -serve, run the multi-tenant campaign service over this durable store directory: every open campaign is resumed from it on start, and new campaigns can be POSTed to /v1/campaigns")
-		tenant    = fs.String("tenant", "", "with -serve -store, the tenant owning the initial campaign (default: \"default\")")
-		priority  = fs.Int("priority", 0, "with -serve -store, the initial campaign's dispatch priority (higher is served first)")
-		maxLeased = fs.Int("max-leased", 0, "with -serve -store, cap on tasks one tenant may hold leased fleet-wide (0: unlimited)")
-		maxQueued = fs.Int("max-queued", 0, "with -serve -store, cap on open campaigns per tenant (0: unlimited)")
+		storeDir  = fs.String("store", "", "with -serve, journal every campaign durably in this directory and resume the open ones on start (default: campaigns live in memory)")
+		tenant    = fs.String("tenant", "", "with -serve, the tenant owning the initial campaign (default: \"default\")")
+		priority  = fs.Int("priority", 0, "with -serve, the initial campaign's dispatch priority (higher is served first)")
+		maxLeased = fs.Int("max-leased", 0, "with -serve, cap on tasks one tenant may hold leased fleet-wide (0: unlimited)")
+		maxQueued = fs.Int("max-queued", 0, "with -serve, cap on open campaigns per tenant (0: unlimited)")
 		campaigns = fs.String("campaigns", "", "list the campaigns on a running service at this base URL (e.g. http://host:8080) and exit")
 		metrics   = fs.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :9090 or :0)")
 		progress  = fs.Duration("progress", 0, "log a one-line progress report at this interval (e.g. 2s; 0: off)")
@@ -137,8 +142,8 @@ func run(ctx context.Context, args []string) error {
 	if *storeDir != "" && *serve == "" {
 		return fmt.Errorf("-store requires -serve (it is the service's durable campaign store)")
 	}
-	if *storeDir != "" && (*ckpt != "" || *resume) {
-		return fmt.Errorf("-store and -checkpoint/-resume are mutually exclusive: the store journals every campaign and always resumes open ones")
+	if *serve != "" && (*ckpt != "" || *resume) {
+		return fmt.Errorf("-checkpoint/-resume do not apply to -serve: use -store DIR, which journals every campaign and resumes the open ones on restart")
 	}
 
 	if *metrics != "" {
@@ -228,22 +233,19 @@ func run(ctx context.Context, args []string) error {
 			}
 			doc.Name, doc.Source, doc.MIPS = *file, string(src), *isMIPS
 		}
-		if *storeDir != "" {
-			var initial *dist.SpecDoc
-			if *app != "" || *file != "" {
-				initial = &doc
-			}
-			return serveService(ctx, *serve, *storeDir, initial, serviceOptions{
-				Lease:     *lease,
-				Tenant:    *tenant,
-				Priority:  *priority,
-				MaxLeased: *maxLeased,
-				MaxQueued: *maxQueued,
-				Traces:    *traces,
-				XvalOut:   *xvalOut,
-			}, summaryCache)
+		var initial *dist.SpecDoc
+		if *app != "" || *file != "" {
+			initial = &doc
 		}
-		return serveCampaign(ctx, *serve, doc, *lease, *ckpt, *resume, *traces, *xvalOut, summaryCache)
+		return serveService(ctx, *serve, *storeDir, initial, serviceOptions{
+			Lease:     *lease,
+			Tenant:    *tenant,
+			Priority:  *priority,
+			MaxLeased: *maxLeased,
+			MaxQueued: *maxQueued,
+			Traces:    *traces,
+			XvalOut:   *xvalOut,
+		}, summaryCache)
 	}
 
 	if *xval {
@@ -667,7 +669,7 @@ func listCampaigns(ctx context.Context, w io.Writer, base string) error {
 	return tw.Flush()
 }
 
-// serviceOptions carries the -serve -store service flags.
+// serviceOptions carries the -serve service flags.
 type serviceOptions struct {
 	Lease     time.Duration
 	Tenant    string
@@ -678,10 +680,10 @@ type serviceOptions struct {
 	XvalOut   string
 }
 
-// serveService runs the multi-tenant campaign service: a durable store-backed
-// registry serving the versioned /v1 API (plus the legacy root aliases) to
-// symworker fleets. Every open campaign in the store is resumed on start;
-// the initial document (when the command line names an app or file) is
+// serveService runs the campaign service: a registry serving the versioned
+// /v1 API to symworker fleets, held in memory or — with storeDir — journaled
+// to a DiskStore. Every open campaign in the store is resumed on start; the
+// initial document (when the command line names an app or file) is
 // registered as a campaign unless an open campaign with the same fingerprint
 // is already stored — so killing and restarting the service with the same
 // flags resumes rather than duplicates. With an initial campaign the service
@@ -697,20 +699,28 @@ func serveService(ctx context.Context, addr, storeDir string, initialDoc *dist.S
 	if err != nil {
 		return err
 	}
-	store, err := dist.NewDiskStore(storeDir)
-	if err != nil {
-		ln.Close()
-		return err
-	}
-	reg, err := dist.NewRegistry(dist.RegistryConfig{
-		Store:        store,
-		Lease:        opt.Lease,
-		Quotas:       dist.Quotas{MaxOpenCampaigns: opt.MaxQueued, MaxLeasedTasks: opt.MaxLeased},
+	cfg := dist.RegistryConfig{
+		Lease:  opt.Lease,
+		Quotas: dist.Quotas{MaxOpenCampaigns: opt.MaxQueued, MaxLeasedTasks: opt.MaxLeased},
+		// With -summary-cache the fleet-shared cache served on the /summary
+		// endpoints is disk-backed, so it survives service restarts.
 		SummaryCache: summaryCache,
-	})
+	}
+	storeDesc := "in-memory store"
+	if storeDir != "" {
+		store, err := dist.NewDiskStore(storeDir)
+		if err != nil {
+			ln.Close()
+			return err
+		}
+		cfg.Store, storeDesc = store, "store "+storeDir
+	}
+	reg, err := dist.NewRegistry(cfg)
 	if err != nil {
 		ln.Close()
-		store.Close()
+		if cfg.Store != nil {
+			cfg.Store.Close()
+		}
 		return err
 	}
 
@@ -749,7 +759,7 @@ func serveService(ctx context.Context, addr, storeDir string, initialDoc *dist.S
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 
-	fmt.Printf("campaign service on %s, store %s\n", ln.Addr(), storeDir)
+	fmt.Printf("campaign service on %s, %s\n", ln.Addr(), storeDesc)
 	fmt.Printf("point workers here: symworker -coordinator http://%s\n", ln.Addr())
 	fmt.Printf("list campaigns:     symplfied -campaigns http://%s\n", ln.Addr())
 
@@ -785,6 +795,12 @@ func serveService(ctx context.Context, addr, storeDir string, initialDoc *dist.S
 		}
 	}
 
+	// A drained service may still have a straggler mid-upload of a duplicate
+	// result (large completion posts take minutes). Shutdown waits for
+	// in-flight requests and returns as soon as the last one finishes, so the
+	// generous deadline costs nothing in the common case; deriving it from
+	// ctx lets an interrupt cut the wait short. An interrupted run shuts down
+	// fast — its workers are being interrupted too and abandon their tasks.
 	parent := ctx
 	grace := 10 * time.Minute
 	if interrupted {
@@ -818,109 +834,13 @@ func serveService(ctx context.Context, addr, storeDir string, initialDoc *dist.S
 	}
 	if interrupted && !merged.Complete {
 		st := initial.Status()
-		fmt.Printf("interrupted: %d tasks unfinished; restart with the same -store to resume\n",
-			st.Queued+st.Leased)
-	}
-	fmt.Printf("findings (%s, goal %s): %d\n", initialDoc.Class, initialDoc.Goal, len(sum.Findings))
-	printFindings(sum.Findings, opt.Traces)
-	return nil
-}
-
-// serveCampaign runs the distributed-campaign coordinator: it partitions the
-// injection space, serves tasks to symworker processes over HTTP, and prints
-// the merged report once every task settles. SIGINT shuts the server down
-// gracefully; with -checkpoint the settled tasks are journaled so a restart
-// with -resume re-serves only the unfinished ones.
-func serveCampaign(ctx context.Context, addr string, doc dist.SpecDoc, lease time.Duration,
-	ckpt string, resume bool, traces int, xvalOut string, summaryCache *symplfied.SummaryCache) error {
-
-	// Bind before building the coordinator: restoring a large task journal
-	// can take a while, and workers started in that window should queue in
-	// the accept backlog rather than get connection-refused.
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	coord, err := dist.NewCoordinator(dist.CoordinatorConfig{
-		Doc:        doc,
-		Lease:      lease,
-		Checkpoint: ckpt,
-		Resume:     resume,
-		// With -summary-cache the fleet-shared cache served on the /summary
-		// endpoints is disk-backed, so it survives coordinator restarts.
-		SummaryCache: summaryCache,
-	})
-	if err != nil {
-		ln.Close()
-		return err
-	}
-	defer coord.Close()
-	srv := &http.Server{Handler: coord.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-
-	st := coord.Status()
-	fmt.Printf("coordinator on %s: %d tasks (%d already settled), lease %s\n",
-		ln.Addr(), st.Total, st.Done, coord.SpecResponse().Lease)
-	fmt.Printf("point workers here: symworker -coordinator http://%s\n", ln.Addr())
-
-	interrupted := false
-	select {
-	case <-coord.Done():
-		// Drain window: workers whose next claim raced the final completion
-		// must hear Done (and exit cleanly) before the listener goes away.
-		select {
-		case <-time.After(2 * time.Second):
-		case <-ctx.Done():
-		}
-	case <-ctx.Done():
-		interrupted = true
-	case err := <-serveErr:
-		return err
-	}
-
-	// A completed campaign may still have a straggler mid-upload of a
-	// duplicate result (large completion posts take minutes). Shutdown
-	// waits for in-flight requests and returns as soon as the last one
-	// finishes, so the generous deadline costs nothing in the common case;
-	// deriving it from ctx lets an interrupt cut the wait short. An
-	// interrupted run shuts down fast — its workers are being interrupted
-	// too and abandon their tasks.
-	parent := ctx
-	grace := 10 * time.Minute
-	if interrupted {
-		parent = context.Background()
-		grace = 5 * time.Second
-	}
-	shutdownCtx, cancel := context.WithTimeout(parent, grace)
-	defer cancel()
-	srv.Shutdown(shutdownCtx)
-	if err := coord.Close(); err != nil {
-		return err
-	}
-
-	merged := coord.Report()
-	sum := merged.Summary
-	fmt.Printf("tasks: %d launched, %d completed (%d empty, %d with findings), %d incomplete\n",
-		sum.Tasks, sum.Completed, sum.CompletedEmpty, sum.CompletedWithFinds, sum.Incomplete)
-	if merged.Crossval != nil {
-		// Cross-validation campaign: the pooled crossval report carries the
-		// per-point interruption/soundness story, so hand off wholesale.
-		return reportCrossval(merged.Crossval, xvalOut, ckpt)
-	}
-	fmt.Printf("states explored: %d over %d injections\n", sum.TotalStates, sum.TotalInjections)
-	if sum.Panics > 0 {
-		fmt.Printf("warning: %d injections panicked and were isolated\n", sum.Panics)
-	}
-	if interrupted && !merged.Complete {
-		st := coord.Status()
 		fmt.Printf("interrupted: %d tasks unfinished", st.Queued+st.Leased)
-		if ckpt != "" {
-			fmt.Printf("; re-run with -resume to serve only those from %s", ckpt)
+		if storeDir != "" {
+			fmt.Print("; restart with the same -store to resume")
 		}
 		fmt.Println()
 	}
-	fmt.Printf("findings (%s, goal %s): %d\n", doc.Class, doc.Goal, len(sum.Findings))
-	printFindings(sum.Findings, traces)
+	fmt.Printf("findings (%s, goal %s): %d\n", initialDoc.Class, initialDoc.Goal, len(sum.Findings))
+	printFindings(sum.Findings, opt.Traces)
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -48,17 +47,18 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.t = c.t.Add(d)
 }
 
+// newTestCoordinator registers testDoc as the only campaign of a fresh
+// in-memory registry.
 func newTestCoordinator(t *testing.T, clock *fakeClock, lease time.Duration) *Coordinator {
 	t.Helper()
-	cfg := CoordinatorConfig{Doc: testDoc(), Lease: lease}
+	cfg := RegistryConfig{Lease: lease}
 	if clock != nil {
 		cfg.Now = clock.Now
 	}
-	c, err := NewCoordinator(cfg)
+	c, err := newTestRegistry(t, cfg).Create(testDoc(), "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { c.Close() })
 	return c
 }
 
@@ -185,26 +185,27 @@ func TestLeaseLostDecisiveness(t *testing.T) {
 	}
 }
 
-// TestJournalErrorSurfaced: a completion that pools but fails to checkpoint
-// must still be Accepted, but the failure must be visible server-side — the
-// operator relying on -resume has to learn checkpointing is broken before
-// the restart that depends on it.
+// failingStore is a MemStore whose result log has gone bad: every
+// AppendResult fails.
+type failingStore struct{ *MemStore }
+
+func (failingStore) AppendResult(campaignID, key string, payload any) error {
+	return errors.New("disk full")
+}
+
+// TestJournalErrorSurfaced: a completion that pools but fails to reach the
+// store must still be Accepted, but the failure must be visible server-side
+// — the operator relying on a restart over the same store has to learn
+// journaling is broken before the restart that depends on it.
 func TestJournalErrorSurfaced(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "tasks.jsonl")
-	c, err := NewCoordinator(CoordinatorConfig{Doc: testDoc(), Checkpoint: path})
+	r := newTestRegistry(t, RegistryConfig{Store: failingStore{NewMemStore()}})
+	c, err := r.Create(testDoc(), "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
 	if resp := c.Claim("w"); resp.Task == nil {
 		t.Fatal("claim failed")
 	}
-	// The checkpoint file goes bad mid-campaign: close the underlying
-	// journal while leaving the persist hook attached.
-	if err := c.closePersist(); err != nil {
-		t.Fatal(err)
-	}
-	c.closePersist = nil
 	resp, err := c.Complete("w", 0, syntheticResult(1))
 	if err == nil {
 		t.Fatal("journal failure not reported")
@@ -256,79 +257,6 @@ func TestClaimDrainsToDone(t *testing.T) {
 	}
 	if len(st.Workers) != 1 || st.Workers[0].Completed != 4 || !st.Workers[0].Live {
 		t.Errorf("worker status %+v", st.Workers)
-	}
-}
-
-// TestCoordinatorResume: a restarted coordinator with Resume re-serves only
-// unfinished tasks; journaled completions are not re-run.
-func TestCoordinatorResume(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "tasks.jsonl")
-	cfg := CoordinatorConfig{Doc: testDoc(), Checkpoint: path}
-	c1, err := NewCoordinator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range []int{0, 2} {
-		if resp := c1.Claim("w"); resp.Task == nil {
-			t.Fatal("claim failed")
-		}
-		if _, err := c1.Complete("w", id, syntheticResult(10*(id+1))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	cfg.Resume = true
-	c2, err := NewCoordinator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	st := c2.Status()
-	if st.Done != 2 || st.Queued != 2 {
-		t.Fatalf("resumed status %+v, want 2 done / 2 queued", st)
-	}
-	served := map[int]bool{}
-	for i := 0; i < 2; i++ {
-		resp := c2.Claim("w2")
-		if resp.Task == nil {
-			t.Fatal("resumed coordinator served nothing")
-		}
-		if resp.Task.ID == 0 || resp.Task.ID == 2 {
-			t.Fatalf("journaled task %d re-served", resp.Task.ID)
-		}
-		served[resp.Task.ID] = true
-	}
-	if !served[1] || !served[3] {
-		t.Fatalf("unfinished tasks not re-served: %v", served)
-	}
-	// Journaled results survived intact.
-	if got := c2.Report().Tasks[0].StatesExplored; got != 10 {
-		t.Errorf("restored task 0 states %d, want 10", got)
-	}
-}
-
-// TestResumeRejectsForeignJournal: a journal written by a different campaign
-// spec (or decomposition width) must be refused, not merged.
-func TestResumeRejectsForeignJournal(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "tasks.jsonl")
-	c1, err := NewCoordinator(CoordinatorConfig{Doc: testDoc(), Checkpoint: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c1.Close()
-
-	other := testDoc()
-	other.Input = []int64{6} // different search space
-	if _, err := NewCoordinator(CoordinatorConfig{Doc: other, Checkpoint: path, Resume: true}); err == nil {
-		t.Error("foreign-spec journal accepted")
-	}
-	rewidth := testDoc()
-	rewidth.Tasks = 2 // different task boundaries
-	if _, err := NewCoordinator(CoordinatorConfig{Doc: rewidth, Checkpoint: path, Resume: true}); err == nil {
-		t.Error("journal with a different decomposition width accepted")
 	}
 }
 

@@ -13,8 +13,22 @@ import (
 	"symplfied/internal/cluster"
 )
 
-// TestEndToEndDeterminism is the subsystem's acceptance check: a coordinator
-// plus two workers over loopback HTTP — with a third "worker" that claims a
+// serveTestCampaign registers doc as the only campaign of a fresh in-memory
+// registry and serves the registry's HTTP API over loopback.
+func serveTestCampaign(t *testing.T, doc SpecDoc, cfg RegistryConfig) (*Coordinator, *httptest.Server) {
+	t.Helper()
+	reg := newTestRegistry(t, cfg)
+	c, err := reg.Create(doc, "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewService(reg).Handler())
+	t.Cleanup(srv.Close)
+	return c, srv
+}
+
+// TestEndToEndDeterminism is the subsystem's acceptance check: the campaign
+// service plus two workers over loopback HTTP — with a third "worker" that claims a
 // task and dies, forcing a lease expiry and reassignment — must pool a
 // merged report byte-identical (under encoding/json) to a single-process
 // cluster.Run over the same spec and split. The zombie's late completion
@@ -43,13 +57,7 @@ func TestEndToEndDeterminism(t *testing.T) {
 	}
 
 	// Distributed run. A short lease keeps the kill-and-reassign path fast.
-	coord, err := NewCoordinator(CoordinatorConfig{Doc: doc, Lease: 300 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
+	coord, srv := serveTestCampaign(t, doc, RegistryConfig{Lease: 300 * time.Millisecond})
 
 	// The zombie claims a task and goes silent: a worker killed mid-task.
 	// Its lease must lapse and the task be re-served to a live worker.
@@ -103,7 +111,7 @@ func TestEndToEndDeterminism(t *testing.T) {
 	}
 
 	// The merged report over HTTP is byte-identical to the reference.
-	httpResp, err := srv.Client().Get(srv.URL + PathReport)
+	httpResp, err := srv.Client().Get(srv.URL + V1CampaignPath(coord.ID(), "report"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +160,7 @@ func TestEndToEndDeterminism(t *testing.T) {
 	}
 
 	// Fleet status over HTTP sees all three workers and a settled verdict.
-	stResp, err := srv.Client().Get(srv.URL + PathStatus)
+	stResp, err := srv.Client().Get(srv.URL + V1CampaignPath(coord.ID(), "status"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,13 +218,7 @@ func TestTimedOutTaskSettles(t *testing.T) {
 	// Every activated injection deadlines before exploring a single state.
 	doc.PerInjectionTimeout = time.Nanosecond
 
-	coord, err := NewCoordinator(CoordinatorConfig{Doc: doc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
+	coord, srv := serveTestCampaign(t, doc, RegistryConfig{})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -253,20 +255,19 @@ func TestTimedOutTaskSettles(t *testing.T) {
 // TestWorkerRejectsForeignFingerprint: a worker whose locally-lowered spec
 // fingerprints differently from the coordinator's must refuse to serve.
 func TestWorkerRejectsForeignFingerprint(t *testing.T) {
-	coord, err := NewCoordinator(CoordinatorConfig{Doc: testDoc()})
+	reg := newTestRegistry(t, RegistryConfig{})
+	coord, err := reg.Create(testDoc(), "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer coord.Close()
-	// Corrupt the fingerprint the coordinator hands out.
+	// Corrupt the fingerprint the service hands out.
 	sr := coord.SpecResponse()
 	sr.Fingerprint = "not-the-real-fingerprint"
 	mux := http.NewServeMux()
-	mux.HandleFunc(PathSpec, func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(sr)
+	mux.HandleFunc("GET "+V1CampaignPath("{id}", "spec"), func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, sr)
 	})
-	mux.Handle("/", coord.Handler())
+	mux.Handle("/", NewService(reg).Handler())
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 

@@ -109,6 +109,12 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 	if r.store == nil {
 		r.store = NewMemStore()
 	}
+	if r.lease <= 0 {
+		r.lease = DefaultLease
+	}
+	if r.now == nil {
+		r.now = time.Now
+	}
 	if r.summaries == nil {
 		r.summaries = summary.NewCache(0, nil)
 	}
@@ -141,22 +147,22 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 }
 
 // resume rebuilds one stored campaign: lower, replay, re-attach the log.
+// The re-lowered document must reproduce the record's fingerprint and its
+// journal kind: the fingerprint excludes the task split width, so only the
+// kind stops a log written under one split from replaying its task:N
+// results onto another split's task boundaries.
 func (r *Registry) resume(rec CampaignRecord) (*Coordinator, error) {
-	c, err := newCoordinator(rec.Doc, coordOptions{
-		id:        rec.ID,
-		tenant:    rec.Tenant,
-		priority:  rec.Priority,
-		lease:     r.lease,
-		now:       r.now,
-		summaries: r.summaries,
-		cache:     r.cache,
-	})
+	c, err := r.newCoordinator(rec.Doc, rec.ID, rec.Tenant, rec.Priority)
 	if err != nil {
 		return nil, err
 	}
 	if c.fingerprint != rec.Fingerprint {
 		return nil, fmt.Errorf("stored document lowers to fingerprint %s, record says %s",
 			c.fingerprint, rec.Fingerprint)
+	}
+	if kind := c.JournalKind(); kind != rec.Kind {
+		return nil, fmt.Errorf("stored document splits as journal kind %s, record says %s",
+			kind, rec.Kind)
 	}
 	entries, err := r.store.Results(rec.ID)
 	if err != nil {
@@ -182,21 +188,14 @@ func normTenant(tenant string) string {
 }
 
 // Create registers a new campaign for tenant at priority. The document is
-// lowered exactly as a standalone coordinator would lower it, the record is
-// written to the store before the campaign is published, and the campaign ID
-// — a fingerprint prefix plus a creation sequence number — is returned via
-// the coordinator. Re-submitting an identical document creates a distinct
+// lowered exactly as every worker lowers it, the record is written to the
+// store before the campaign is published, and the campaign ID — a
+// fingerprint prefix plus a creation sequence number — is returned via the
+// coordinator. Re-submitting an identical document creates a distinct
 // campaign; its tasks settle from the fleet result cache at claim time.
 func (r *Registry) Create(doc SpecDoc, tenant string, priority int) (*Coordinator, error) {
 	tenant = normTenant(tenant)
-	c, err := newCoordinator(doc, coordOptions{
-		tenant:    tenant,
-		priority:  priority,
-		lease:     r.lease,
-		now:       r.now,
-		summaries: r.summaries,
-		cache:     r.cache,
-	})
+	c, err := r.newCoordinator(doc, "", tenant, priority)
 	if err != nil {
 		return nil, err
 	}
@@ -439,25 +438,6 @@ func (r *Registry) List() CampaignList {
 	}
 	r.mu.Unlock()
 	return out
-}
-
-// Default resolves the campaign the legacy root-level endpoints drive: the
-// first open campaign in dispatch order, else the earliest-created live one.
-func (r *Registry) Default() (*Coordinator, bool) {
-	cands := r.dispatchOrder()
-	for _, c := range cands {
-		if c.State() == StateOpen {
-			return c, true
-		}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, id := range r.order {
-		if c, ok := r.campaigns[id]; ok {
-			return c, true
-		}
-	}
-	return nil, false
 }
 
 // Cache exposes the fleet result cache (tests, status reporting).

@@ -3,6 +3,8 @@ package dist
 import (
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -350,6 +352,65 @@ func TestRegistryRestartResume(t *testing.T) {
 	if got := r2.Cache().Len(); got != 5 {
 		t.Errorf("resumed cache holds %d results, want 5", got)
 	}
+}
+
+// TestRegistryResumeRejectsWidthMismatch: the campaign fingerprint excludes
+// the task split width, so a stored record whose document was edited to a
+// different -tasks split must be refused on resume rather than replaying its
+// task:N results onto the new split's task boundaries.
+func TestRegistryResumeRejectsWidthMismatch(t *testing.T) {
+	dir := t.TempDir()
+	store1, err := NewDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1, err := NewRegistry(RegistryConfig{Store: store1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := r1.Create(testDoc(), "alice", 0) // 4 tasks
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := c.Claim("w")
+	if resp.Task == nil {
+		t.Fatal("claim failed")
+	}
+	if _, err := c.Complete("w", resp.Task.ID, syntheticResult(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := r1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Edit the stored document's split from 4 tasks to 2 by hand.
+	path := filepath.Join(dir, c.ID(), "campaign.json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec CampaignRecord
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatal(err)
+	}
+	rec.Doc.Tasks = 2
+	if data, err = json.Marshal(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	store2, err := NewDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := NewRegistry(RegistryConfig{Store: store2})
+	if err == nil {
+		r2.Close()
+		t.Fatal("a record whose document was re-split from 4 to 2 tasks resumed")
+	}
+	store2.Close()
 }
 
 // TestResubmitSettlesFromCache: a second campaign over the same document is

@@ -25,11 +25,10 @@
 // lease. Findings stream to subscribers over per-campaign event feeds
 // (long-poll or SSE) as tasks settle.
 //
-// The original single-campaign machinery remains: Coordinator still
-// reassigns tasks whose lease heartbeats lapse, drops duplicate completions
-// from re-claimed tasks, and pools results into a merged report identical —
-// byte for byte — to a single-process cluster.Run per campaign; the legacy
-// root-level HTTP paths alias onto the registry's default campaign.
+// Each campaign's Coordinator reassigns tasks whose lease heartbeats lapse,
+// drops duplicate completions from re-claimed tasks, and pools results into
+// a merged report identical — byte for byte — to a single-process
+// cluster.Run over the same document.
 package dist
 
 import (
