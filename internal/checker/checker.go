@@ -36,10 +36,16 @@ import (
 	"symplfied/internal/trace"
 )
 
-// Live instruments on the default registry, resolved once so the BFS hot
-// loop pays one atomic op per event, not a registry lookup. These feed
-// -metrics-addr scrapes and the -progress line; the deterministic tallies
-// that travel inside reports live in InjectionReport.Exec instead.
+// Live instruments on the default registry, resolved once so the explorers
+// pay no registry lookup. These feed -metrics-addr scrapes and the -progress
+// line; the deterministic tallies that travel inside reports live in
+// InjectionReport.Exec instead. liveStates is the one per-state instrument,
+// and the explorers batch it: each adds its unpublished StatesExplored at
+// the ctxCheckMask poll and once more on exit, instead of one atomic add
+// per state on a counter every worker shares. A scrape therefore lags by at
+// most ctxCheckMask states per running injection, and the counter is exact
+// once the injection returns. Rarer events (findings, injections) still
+// publish one atomic op each.
 var (
 	liveStates       = obs.Default().Counter(obs.MStates)
 	liveFindings     = obs.Default().Counter(obs.MFindings)
@@ -56,9 +62,10 @@ var (
 // task allotment so runs are deterministic.
 const DefaultStateBudget = 100_000
 
-// ctxCheckMask gates how often the breadth-first loop polls ctx.Err(): every
+// ctxCheckMask gates how often the breadth-first loops poll ctx.Err(): every
 // (ctxCheckMask+1) explored states. Polling is cheap but not free; 64 states
-// keeps cancellation latency far below any human-visible delay.
+// keeps cancellation latency far below any human-visible delay. The same
+// cadence flushes the explorers' batched liveStates count.
 const ctxCheckMask = 63
 
 // Predicate selects the final states a search is looking for, corresponding
@@ -144,13 +151,17 @@ type Spec struct {
 	// and a transient register injection the composed summaries prove benign —
 	// the err provably reaches no output, detector, or control decision on any
 	// continuation — reuses the site's fault-free representative exploration,
-	// marked Summarized. Strictly subsumes PruneDeadInjections' per-site
-	// liveness proof (a dead register's taint dies immediately) while also
-	// eliding injections whose taint dies later, across call boundaries. Like
-	// PruneDeadInjections, this is an operational knob excluded from the
-	// campaign fingerprint: verdicts and report bytes are unchanged modulo
-	// Summarized markers. Set SYMPLFIED_CHECK_SUMMARIES to have every reuse
-	// re-explored and asserted identical.
+	// marked Summarized. It elides injections whose taint dies later, across
+	// call boundaries, which PruneDeadInjections' per-site liveness proof
+	// cannot, but it does not subsume that proof: the calling-convention
+	// exit treats the return-value register $2 as escaping even where
+	// liveness shows it is overwritten before any read, so some dead-$2
+	// injections are pruned but not summarized (78 on the full tcas
+	// register space, all of them $2). Like PruneDeadInjections, this is an
+	// operational knob excluded from the campaign fingerprint: verdicts and
+	// report bytes are unchanged modulo Summarized markers. Set
+	// SYMPLFIED_CHECK_SUMMARIES to have every reuse re-explored and asserted
+	// identical.
 	UseSummaries bool
 	// SummaryCache optionally backs the summary build with a content-addressed
 	// cache (in-memory LRU plus disk or coordinator store), making re-analysis
@@ -591,10 +602,10 @@ func RunInjection(spec Spec, inj faults.Injection) (InjectionReport, error) {
 // instead of exploring — the exploration is elided entirely, and the
 // returned report (marked Pruned) is what the exploration would have
 // produced. When spec.UseSummaries is set, the compositional summary proof
-// (see SummaryContext) does the same for the strictly larger class of
-// injections whose taint provably reaches nothing, marking reports
-// Summarized; an injection both classifiers cover is credited to pruning,
-// which is checked first.
+// (see SummaryContext) does the same for injections whose taint provably
+// reaches nothing, marking reports Summarized; an injection both classifiers
+// cover is credited to pruning, which is checked first. Neither class
+// contains the other (see Spec.UseSummaries).
 func RunInjectionCtx(ctx context.Context, spec Spec, inj faults.Injection) (InjectionReport, error) {
 	if prune := spec.EnsurePrune(); prune.Prunable(inj) {
 		budget := spec.effectiveBudget()
@@ -760,6 +771,9 @@ func exploreInjection(ctx context.Context, spec Spec, inj faults.Injection, ir *
 		published = width
 	}
 	syncFrontier()
+	// States reach the shared live counter in batches (see liveStates).
+	var flushed int
+	defer func() { liveStates.Add(int64(ir.StatesExplored - flushed)) }()
 	for head < len(frontier) {
 		cur := frontier[head]
 		frontier[head] = nil
@@ -783,6 +797,8 @@ func exploreInjection(ctx context.Context, spec Spec, inj faults.Injection, ir *
 				return nil
 			}
 			if ir.StatesExplored&ctxCheckMask == 0 {
+				liveStates.Add(int64(ir.StatesExplored - flushed))
+				flushed = ir.StatesExplored
 				if cerr := ctx.Err(); cerr != nil {
 					ir.Interrupted = true
 					ir.TimedOut = errors.Is(cerr, context.DeadlineExceeded)
@@ -790,7 +806,6 @@ func exploreInjection(ctx context.Context, spec Spec, inj faults.Injection, ir *
 				}
 			}
 			ir.StatesExplored++
-			liveStates.Inc()
 			ir.Truncated = ir.Truncated || cur.Truncated
 
 			if !cur.Running() {

@@ -255,13 +255,18 @@ func exploreInjectionMerged(ctx context.Context, spec Spec, inj faults.Injection
 	syncFrontier()
 
 	// countState charges one physical state observation against the budget;
-	// false stops the search (budget exhausted or context done).
+	// false stops the search (budget exhausted or context done). States
+	// reach the shared live counter in batches (see liveStates).
+	var flushed int
+	defer func() { liveStates.Add(int64(ir.StatesExplored - flushed)) }()
 	countState := func(cur *symexec.State) bool {
 		if ir.StatesExplored >= budget {
 			ir.BudgetExhausted = true
 			return false
 		}
 		if ir.StatesExplored&ctxCheckMask == 0 {
+			liveStates.Add(int64(ir.StatesExplored - flushed))
+			flushed = ir.StatesExplored
 			if cerr := ctx.Err(); cerr != nil {
 				ir.Interrupted = true
 				ir.TimedOut = errors.Is(cerr, context.DeadlineExceeded)
@@ -269,7 +274,6 @@ func exploreInjectionMerged(ctx context.Context, spec Spec, inj faults.Injection
 			}
 		}
 		ir.StatesExplored++
-		liveStates.Inc()
 		ir.Truncated = ir.Truncated || cur.Truncated
 		return true
 	}

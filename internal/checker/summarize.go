@@ -51,8 +51,9 @@ func SetCheckSummaries(on bool) (restore func()) {
 // summary and every caller continuation — cannot change the exploration, so
 // the checker explores one representative per breakpoint and reuses its
 // report for the other benign registers at the same site, exactly like
-// liveness pruning but across the strictly larger class of taint that dies
-// later (or in a callee/caller) rather than immediately.
+// liveness pruning but for taint that dies later (or in a callee/caller)
+// rather than immediately. The class is not a superset of pruning's: see
+// Spec.UseSummaries for the dead-$2 gap.
 type SummaryContext struct {
 	set   *summary.Set
 	sites *siteMemo

@@ -10,6 +10,7 @@ import (
 	"symplfied/internal/checker"
 	"symplfied/internal/faults"
 	"symplfied/internal/isa"
+	"symplfied/internal/obs"
 	"symplfied/internal/simplescalar"
 	"symplfied/internal/symexec"
 )
@@ -357,5 +358,58 @@ func TestSplitPoints(t *testing.T) {
 	}
 	if got := SplitPoints(pts[:2], 5); len(got) != 2 {
 		t.Errorf("2 points split 5 ways produced %d tasks", len(got))
+	}
+}
+
+// TestRunCtxLiveStatesExact checks that the live states counter, which the
+// checker's explorers publish in batches, has moved by exactly the pooled
+// TotalStates once a two-worker study returns: completed, budget-cut and
+// cancelled studies, plain and merged.
+func TestRunCtxLiveStatesExact(t *testing.T) {
+	live := obs.Default().Counter(obs.MStates)
+	for _, merged := range []bool{false, true} {
+		for _, c := range []struct {
+			name   string
+			budget int
+			cancel bool
+		}{
+			{"completed", 0, false},
+			{"budget-cut", 50, false},
+			{"cancelled", 0, true},
+		} {
+			name := "plain/" + c.name
+			if merged {
+				name = "merged/" + c.name
+			}
+			t.Run(name, func(t *testing.T) {
+				spec := factorialSpec(t)
+				spec.MergeStates = merged
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				if c.cancel {
+					base := spec.Predicate.Match
+					spec.Predicate.Match = func(s *symexec.State) bool {
+						cancel()
+						return base(s)
+					}
+				}
+				tasks := Split(faults.RegisterInjections(spec.Program, true), 4)
+
+				before := live.Value()
+				sum := Summarize(RunCtx(ctx, spec, tasks, Config{Workers: 2, TaskStateBudget: c.budget}))
+				if sum.TotalStates == 0 {
+					t.Fatal("the study explored nothing")
+				}
+				if c.budget > 0 && sum.Incomplete == 0 {
+					t.Fatal("no task was cut by the budget")
+				}
+				if c.cancel && sum.Interrupted == 0 {
+					t.Fatal("no task was interrupted")
+				}
+				if got := live.Value() - before; got != int64(sum.TotalStates) {
+					t.Errorf("live states counter moved by %d, study explored %d", got, sum.TotalStates)
+				}
+			})
+		}
 	}
 }

@@ -64,9 +64,11 @@ func hashValue(h *symbolic.Hash64, v isa.Value) {
 // KeyHash returns a 64-bit hash of the state's canonical encoding — the same
 // configuration Key() renders (PC, step counter, input cursor, registers,
 // memory, constraint store, output stream, status, stuck set) — built
-// incrementally without sorting or string construction. Two states with
-// equal Key() strings always hash equal; the converse can fail only by
-// 64-bit collision, which the Keyer audits under CheckKeyCollisions.
+// without sorting or string construction. The memory component is a
+// digest maintained on write (see memDigest), so the cost of a hash does
+// not grow with the memory image. Two states with equal Key() strings
+// always hash equal; the converse can fail only by 64-bit collision, which
+// the Keyer audits under CheckKeyCollisions.
 //
 // The hash is stable for the lifetime of the process only: it seeds
 // in-memory visited sets, prune memos, and merge grouping, never anything
@@ -94,7 +96,8 @@ func (s *State) SkeletonHash() uint64 {
 
 // hashConfig is the single encoder behind KeyHash, LoopHash and
 // SkeletonHash, so the three can never drift apart on the shared
-// components.
+// components. It reads memory through memDigest, whose value always
+// equals a fresh fold over Mem.
 func (s *State) hashConfig(withSteps, withSym bool) uint64 {
 	h := symbolic.NewHash64()
 	h.Int(int64(s.PC))
@@ -105,14 +108,8 @@ func (s *State) hashConfig(withSteps, withSym bool) uint64 {
 	for r := range s.Regs {
 		hashValue(&h, s.Regs[r])
 	}
-	// Memory is unordered: fold a per-entry hash commutatively so the map
-	// needs no sorting. Key() sorts addresses for the same canonicality.
-	var mem uint64
-	for a, v := range s.Mem {
-		mem += entryHash(a, v)
-	}
 	h.Word(uint64(len(s.Mem)))
-	h.Word(mem)
+	h.Word(s.memDigest())
 	if withSym {
 		s.Sym.KeyHash(&h)
 	}
@@ -140,6 +137,23 @@ func (s *State) hashConfig(withSteps, withSym bool) uint64 {
 	h.Word(uint64(len(s.Stuck)))
 	h.Word(stuck)
 	return h.Sum()
+}
+
+// memDigest returns the memory component of the state hashes. Memory is
+// unordered, so a per-entry hash is folded commutatively and the map needs
+// no sorting (Key() sorts addresses for the same canonicality). The fold is
+// built by the first call and then maintained by writeMem, which subtracts
+// the overwritten cell's entry and adds the new one, so hashing a state
+// costs O(1) in its memory size.
+func (s *State) memDigest() uint64 {
+	if !s.memSumOK {
+		var sum uint64
+		for a, v := range s.Mem {
+			sum += entryHash(a, v)
+		}
+		s.memSum, s.memSumOK = sum, true
+	}
+	return s.memSum
 }
 
 // entryHash hashes one memory cell for the commutative fold.

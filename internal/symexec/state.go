@@ -67,8 +67,9 @@ type State struct {
 	PC   int
 	Regs [isa.NumRegs]isa.Value
 	// Mem is the memory image. After a Clone it may be shared copy-on-write
-	// with the state it was forked from; mutate it only through the State's
-	// methods (which materialize a private copy first), never directly.
+	// with the state it was forked from; mutate it only through writeMem
+	// (which materializes a private copy first and keeps the hash digest
+	// current), never directly.
 	Mem   map[int64]isa.Value
 	Sym   *symbolic.Store
 	In    []isa.Value // shared, immutable
@@ -97,6 +98,13 @@ type State struct {
 	// comparisons and control transfers never touch memory before the next
 	// store instruction, so most clones never pay for the copy.
 	memShared bool
+
+	// memSum is the commutative fold of entryHash over Mem — the memory
+	// component of KeyHash, LoopHash and SkeletonHash — valid when memSumOK.
+	// The first hash builds it and writeMem keeps it current from then on,
+	// so a search that never hashes never pays for it.
+	memSum   uint64
+	memSumOK bool
 
 	// Stats, when non-nil, tallies fork/prune/truncation events for the
 	// observability layer. The pointer is shared by every state forked from
@@ -196,6 +204,8 @@ func (s *State) Clone() *State {
 		Trace:     s.Trace,
 		Truncated: s.Truncated,
 		memShared: true,
+		memSum:    s.memSum,
+		memSumOK:  s.memSumOK,
 		Stats:     s.Stats,
 	}
 	copy(out.Out, s.Out)
@@ -222,6 +232,19 @@ func (s *State) materializeMem() {
 	s.memShared = false
 }
 
+// writeMem stores v at addr, copying a shared image first and keeping the
+// memory digest current. It is the only writer of Mem.
+func (s *State) writeMem(addr int64, v isa.Value) {
+	s.materializeMem()
+	if s.memSumOK {
+		if old, ok := s.Mem[addr]; ok {
+			s.memSum -= entryHash(addr, old)
+		}
+		s.memSum += entryHash(addr, v)
+	}
+	s.Mem[addr] = v
+}
+
 // Running reports whether the state can still take a step.
 func (s *State) Running() bool { return s.Status == machine.StatusRunning }
 
@@ -244,8 +267,7 @@ func (s *State) Note(kind trace.Kind, format string, args ...any) {
 func (s *State) Inject(loc isa.Loc) symbolic.RootID {
 	root := s.Sym.Inject(loc)
 	if loc.IsMem {
-		s.materializeMem()
-		s.Mem[loc.Addr] = isa.Err()
+		s.writeMem(loc.Addr, isa.Err())
 	} else if loc.Reg != isa.RegZero {
 		s.Regs[loc.Reg] = isa.Err()
 	}
@@ -338,8 +360,7 @@ func (s *State) setMem(addr int64, val isa.Value, term symbolic.Term, hasTerm bo
 	if s.stuck(isa.MemLoc(addr)) {
 		return
 	}
-	s.materializeMem()
-	s.Mem[addr] = val
+	s.writeMem(addr, val)
 	loc := isa.MemLoc(addr)
 	if val.IsErr() {
 		if hasTerm {
@@ -367,8 +388,7 @@ func (s *State) concretize() {
 			continue
 		}
 		if loc.IsMem {
-			s.materializeMem()
-			s.Mem[loc.Addr] = isa.Int(v)
+			s.writeMem(loc.Addr, isa.Int(v))
 		} else if loc.Reg != isa.RegZero {
 			s.Regs[loc.Reg] = isa.Int(v)
 		}
