@@ -214,14 +214,16 @@ type Finding struct {
 	State *symexec.State `json:"-"`
 }
 
-// newFinding captures a finding from a live terminal state.
-func newFinding(inj faults.Injection, st *symexec.State, discard bool) Finding {
+// newFinding captures a finding from a live terminal state, rendering its
+// trace with the search's renderer so that prefixes shared with earlier
+// findings are formatted once.
+func newFinding(inj faults.Injection, st *symexec.State, discard bool, traces *trace.Renderer) Finding {
 	f := Finding{
 		Injection: inj,
 		Outcome:   st.Outcome(),
 		Output:    st.OutputString(),
 		Sym:       st.Sym.Describe(),
-		Trace:     st.Trace.Events(),
+		Trace:     traces.Events(st.Trace),
 	}
 	if !discard {
 		f.State = st
@@ -774,6 +776,7 @@ func exploreInjection(ctx context.Context, spec Spec, inj faults.Injection, ir *
 	// States reach the shared live counter in batches (see liveStates).
 	var flushed int
 	defer func() { liveStates.Add(int64(ir.StatesExplored - flushed)) }()
+	var traces trace.Renderer
 	for head < len(frontier) {
 		cur := frontier[head]
 		frontier[head] = nil
@@ -820,7 +823,7 @@ func exploreInjection(ctx context.Context, spec Spec, inj faults.Injection, ir *
 				ir.Exec.ObserveDepth(int64(cur.Steps))
 				if spec.Predicate.Match(cur) {
 					if spec.MaxFindings == 0 || len(ir.Findings) < spec.MaxFindings {
-						ir.Findings = append(ir.Findings, newFinding(inj, cur, spec.DiscardStates))
+						ir.Findings = append(ir.Findings, newFinding(inj, cur, spec.DiscardStates, &traces))
 						liveFindings.Inc()
 					}
 				}

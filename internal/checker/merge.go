@@ -278,6 +278,7 @@ func exploreInjectionMerged(ctx context.Context, spec Spec, inj faults.Injection
 		return true
 	}
 
+	var traces trace.Renderer
 	classifyTerminal := func(cur *symexec.State) {
 		ir.TerminalStates++
 		ir.Outcomes[cur.Outcome()]++
@@ -290,7 +291,7 @@ func exploreInjectionMerged(ctx context.Context, spec Spec, inj faults.Injection
 		ir.Exec.ObserveDepth(int64(cur.Steps))
 		if spec.Predicate.Match(cur) {
 			if spec.MaxFindings == 0 || len(ir.Findings) < spec.MaxFindings {
-				ir.Findings = append(ir.Findings, newFinding(inj, cur, spec.DiscardStates))
+				ir.Findings = append(ir.Findings, newFinding(inj, cur, spec.DiscardStates, &traces))
 				liveFindings.Inc()
 			}
 		}

@@ -274,6 +274,11 @@ func TestRunCtxPreCancelledMarksEveryTask(t *testing.T) {
 // summary keeps the partial work and at least one task is cut short.
 func TestRunCtxCancelMidStudy(t *testing.T) {
 	spec := factorialSpec(t)
+	// Sweep each task's injections sequentially. At the default parallelism
+	// a task speculates on later injections, and a sibling can reach a
+	// terminal state and cancel before injection 0 explores one; the
+	// sequential replay then stops at injection 0 and pools no states.
+	spec.Parallelism = 1
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	base := spec.Predicate.Match

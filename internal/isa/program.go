@@ -3,6 +3,7 @@ package isa
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -18,6 +19,10 @@ type Program struct {
 	Labels map[string]int // label -> instruction index
 
 	labelsAt map[int][]string // instruction index -> labels (for rendering)
+	// nearest[i] is the index of the closest label at or before index i, for
+	// i in [0, len(Instrs)], or -1 when there is none, so LabelFor is a
+	// lookup.
+	nearest []int32
 }
 
 // NewProgram assembles a program from resolved instructions and labels. Every
@@ -61,6 +66,16 @@ func NewProgram(name string, instrs []Instr, labels map[string]int) (*Program, e
 	for _, ls := range p.labelsAt {
 		sort.Strings(ls)
 	}
+	p.nearest = make([]int32, len(p.Instrs)+1)
+	for i := range p.nearest {
+		p.nearest[i] = -1
+	}
+	for idx := range p.labelsAt {
+		p.nearest[idx] = int32(idx)
+	}
+	for i := 1; i < len(p.nearest); i++ {
+		p.nearest[i] = max(p.nearest[i], p.nearest[i-1])
+	}
 	return p, nil
 }
 
@@ -77,39 +92,33 @@ func (p *Program) At(pc int) Instr { return p.Instrs[pc] }
 func (p *Program) LabelsAt(pc int) []string { return p.labelsAt[pc] }
 
 // LabelFor returns the closest label at or before pc along with the offset
-// from it, for human-readable locations like "loop+2". It returns ok=false
-// for programs without labels.
+// from it, for human-readable locations like "loop+2". Among labels at the
+// same index the smallest name wins. It returns ok=false when no label is at
+// or before pc (always, for programs without labels).
 func (p *Program) LabelFor(pc int) (label string, offset int, ok bool) {
-	best := -1
-	for l, idx := range p.Labels {
-		if idx <= pc && (idx > best || (idx == best && l < label)) {
-			if idx > best {
-				best = idx
-				label = l
-			} else if l < label {
-				label = l
-			}
-			ok = true
-		}
-	}
-	if !ok {
+	if pc < 0 {
 		return "", 0, false
 	}
-	return label, pc - best, true
+	at := int(p.nearest[min(pc, len(p.nearest)-1)])
+	if at < 0 {
+		return "", 0, false
+	}
+	return p.labelsAt[at][0], pc - at, true
 }
 
 // Locate renders a human-readable code location for pc.
 func (p *Program) Locate(pc int) string {
+	at := strconv.Itoa(pc)
 	if !p.ValidPC(pc) {
-		return fmt.Sprintf("@%d(invalid)", pc)
+		return "@" + at + "(invalid)"
 	}
 	if label, off, ok := p.LabelFor(pc); ok {
 		if off == 0 {
-			return fmt.Sprintf("%s (@%d)", label, pc)
+			return label + " (@" + at + ")"
 		}
-		return fmt.Sprintf("%s+%d (@%d)", label, off, pc)
+		return label + "+" + strconv.Itoa(off) + " (@" + at + ")"
 	}
-	return fmt.Sprintf("@%d", pc)
+	return "@" + at
 }
 
 // String renders the program as assembly text. The output parses back to an

@@ -1,7 +1,7 @@
 package symbolic
 
 import (
-	"fmt"
+	"strconv"
 
 	"symplfied/internal/isa"
 )
@@ -25,17 +25,21 @@ func FreshTerm(r RootID) Term { return Term{Root: r, Coeff: 1} }
 
 // String renders the term with the root shown as e#N.
 func (t Term) String() string {
-	root := fmt.Sprintf("e#%d", t.Root)
-	switch {
-	case t.Coeff == 1 && t.Off == 0:
-		return root
-	case t.Off == 0:
-		return fmt.Sprintf("%d*%s", t.Coeff, root)
-	case t.Coeff == 1:
-		return fmt.Sprintf("%s%+d", root, t.Off)
-	default:
-		return fmt.Sprintf("%d*%s%+d", t.Coeff, root, t.Off)
+	var buf [64]byte
+	b := buf[:0]
+	if t.Coeff != 1 {
+		b = strconv.AppendInt(b, t.Coeff, 10)
+		b = append(b, '*')
 	}
+	b = append(b, "e#"...)
+	b = strconv.AppendInt(b, int64(t.Root), 10)
+	if t.Off > 0 {
+		b = append(b, '+')
+	}
+	if t.Off != 0 {
+		b = strconv.AppendInt(b, t.Off, 10)
+	}
+	return string(b)
 }
 
 // addOvf returns a+b, with ok=false on signed overflow.

@@ -1,6 +1,7 @@
 package symbolic
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -152,6 +153,8 @@ func TestTermString(t *testing.T) {
 		{Term{Root: 1, Coeff: 5}, "5*e#1"},
 		{Term{Root: 2, Coeff: 1, Off: -3}, "e#2-3"},
 		{Term{Root: 3, Coeff: -2, Off: 7}, "-2*e#3+7"},
+		{Term{Root: 4, Coeff: 1, Off: 9}, "e#4+9"},
+		{Term{Root: 1 << 30, Coeff: math.MinInt64, Off: math.MaxInt64}, "-9223372036854775808*e#1073741824+9223372036854775807"},
 	}
 	for _, c := range cases {
 		if got := c.tm.String(); got != c.want {

@@ -175,7 +175,7 @@ func (s *State) StepInPlace() bool {
 		}
 		s.Out = append(s.Out, machine.OutItem{Val: v})
 		if v.IsErr() {
-			s.note(trace.KindOutput, "printed err")
+			s.note(trace.KindOutput, trace.Text("printed err"))
 		}
 		s.PC++
 		return true
@@ -191,7 +191,7 @@ func (s *State) StepInPlace() bool {
 	case isa.OpHalt:
 		s.Steps++
 		s.Status = machine.StatusHalted
-		s.note(trace.KindHalt, "halt (output %q)", s.OutputString())
+		s.note(trace.KindHalt, haltMsg{s.Out})
 		return true
 	case isa.OpThrow:
 		s.Steps++
@@ -228,12 +228,12 @@ func (s *State) stepCheckInPlace(in isa.Instr) bool {
 	switch symbolic.DecideCmp(det.Cmp, target, expr) {
 	case symbolic.CmpTrue:
 		s.Steps++
-		s.note(trace.KindCheckPass, "detector %d passed: %s", det.ID, det)
+		s.note(trace.KindCheckPass, checkPassMsg{det})
 		s.PC++
 		return true
 	case symbolic.CmpFalse:
 		s.Steps++
-		s.note(trace.KindDetect, "detector %d fired: %s", det.ID, det)
+		s.note(trace.KindDetect, detectMsg{det})
 		s.raise(isa.ExcDetected, fmt.Sprintf("detector %d: %s", det.ID, det))
 		s.Exc.Detector = det.ID
 		return true

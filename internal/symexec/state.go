@@ -248,19 +248,18 @@ func (s *State) writeMem(addr int64, v isa.Value) {
 // Running reports whether the state can still take a step.
 func (s *State) Running() bool { return s.Status == machine.StatusRunning }
 
-// note appends a trace event.
-func (s *State) note(kind trace.Kind, format string, args ...any) {
-	s.Trace = s.Trace.Append(trace.Event{
-		Kind: kind,
-		Step: s.Steps,
-		PC:   s.PC,
-		Text: fmt.Sprintf(format, args...),
-	})
+// note appends a trace event at the current step and PC. Its text is
+// rendered from msg only when the trace is read, so msg must hold immutable
+// values (see messages.go); it is never formatted on the stepping path.
+func (s *State) note(kind trace.Kind, msg trace.Message) {
+	s.Trace = s.Trace.Append(kind, s.Steps, s.PC, msg)
 }
 
-// Note appends a trace event; exported for the fault model and the checker.
+// Note appends a trace event whose text is formatted at once; it is exported
+// for the fault model, whose events are recorded once per injection, not per
+// explored state.
 func (s *State) Note(kind trace.Kind, format string, args ...any) {
-	s.note(kind, format, args...)
+	s.note(kind, trace.Text(fmt.Sprintf(format, args...)))
 }
 
 // Inject places err into loc and returns the fresh root, recording the event.
@@ -271,7 +270,7 @@ func (s *State) Inject(loc isa.Loc) symbolic.RootID {
 	} else if loc.Reg != isa.RegZero {
 		s.Regs[loc.Reg] = isa.Err()
 	}
-	s.note(trace.KindInject, "err (e#%d) injected into %s at %s", root, loc, s.Prog.Locate(s.PC))
+	s.note(trace.KindInject, injectMsg{root: root, loc: loc, prog: s.Prog, pc: s.PC})
 	return root
 }
 
@@ -321,7 +320,7 @@ func (s *State) InjectPermanent(loc isa.Loc) symbolic.RootID {
 		s.Stuck = make(map[isa.Loc]struct{}, 1)
 	}
 	s.Stuck[loc] = struct{}{}
-	s.note(trace.KindNote, "fault in %s is permanent (stuck-at)", loc)
+	s.note(trace.KindNote, stuckMsg{loc})
 	return root
 }
 
@@ -400,7 +399,7 @@ func (s *State) concretize() {
 func (s *State) raise(kind isa.ExceptionKind, detail string) {
 	s.Status = machine.StatusExcepted
 	s.Exc = &isa.Exception{Kind: kind, PC: s.PC, Detail: detail}
-	s.note(trace.KindException, "%s", s.Exc.Error())
+	s.note(trace.KindException, excMsg{s.Exc})
 }
 
 // FiredDetector returns the ID of the detector that terminated this state,

@@ -83,7 +83,7 @@ func (s *State) Successors() []*State {
 		}
 		c.Out = append(c.Out, machine.OutItem{Val: v})
 		if v.IsErr() {
-			c.note(trace.KindOutput, "printed err")
+			c.note(trace.KindOutput, trace.Text("printed err"))
 		}
 		c.PC++
 		return one(c)
@@ -99,7 +99,7 @@ func (s *State) Successors() []*State {
 	case isa.OpHalt:
 		c := s.fork()
 		c.Status = machine.StatusHalted
-		c.note(trace.KindHalt, "halt (output %q)", c.OutputString())
+		c.note(trace.KindHalt, haltMsg{c.Out})
 		return one(c)
 	case isa.OpThrow:
 		c := s.fork()
@@ -125,7 +125,7 @@ func one(c *State) []*State { return []*State{c} }
 // constrainOperand conjoins "op cmp rhs" onto the path, returning false when
 // the path becomes infeasible. Operands of unknown lineage yield no
 // constraint (sound: both forks stay live, as in the paper's model).
-func (s *State) constrainOperand(op symbolic.Operand, cmp isa.Cmp, rhs int64, why string) bool {
+func (s *State) constrainOperand(op symbolic.Operand, cmp isa.Cmp, rhs int64, why reason) bool {
 	if op.Val.IsConcrete() {
 		v, _ := op.Val.Concrete()
 		return isa.EvalCmp(cmp, v, rhs)
@@ -136,7 +136,7 @@ func (s *State) constrainOperand(op symbolic.Operand, cmp isa.Cmp, rhs int64, wh
 	if !s.Sym.ConstrainTerm(op.Term, cmp, rhs) {
 		return false
 	}
-	s.note(trace.KindConstraint, "%s: %s %s %d", why, op.Term, cmp, rhs)
+	s.note(trace.KindConstraint, constraintMsg{why: why, term: op.Term, cmp: cmp, rhs: rhs})
 	s.concretize()
 	return true
 }
@@ -144,7 +144,7 @@ func (s *State) constrainOperand(op symbolic.Operand, cmp isa.Cmp, rhs int64, wh
 // applyCmp conjoins "x cmp y" onto the path. It handles err-vs-concrete in
 // both positions and err-vs-err over a shared root; err-vs-err over
 // unrelated roots yields no constraint (the paper's over-approximation).
-func (s *State) applyCmp(cmp isa.Cmp, x, y symbolic.Operand, why string) bool {
+func (s *State) applyCmp(cmp isa.Cmp, x, y symbolic.Operand, why reason) bool {
 	xc, xConc := x.Val.Concrete()
 	yc, yConc := y.Val.Concrete()
 	switch {
@@ -172,7 +172,7 @@ func (s *State) applyCmp(cmp isa.Cmp, x, y symbolic.Operand, why string) bool {
 				if !sat {
 					return false
 				}
-				s.note(trace.KindConstraint, "%s: %s %s %s", why, x.Term, cmp, y.Term)
+				s.note(trace.KindConstraint, relMsg{why: why, x: x.Term, y: y.Term, cmp: cmp})
 			}
 		}
 		return true
@@ -182,7 +182,7 @@ func (s *State) applyCmp(cmp isa.Cmp, x, y symbolic.Operand, why string) bool {
 // forkCmp resolves "x cmp y", producing the surviving true- and false-case
 // states (either may be nil after pruning). kind tags the fork in ExecStats
 // (obs.ForkCmp for ordinary comparisons, obs.ForkDetector for CHECKs).
-func (s *State) forkCmp(kind string, cmp isa.Cmp, x, y symbolic.Operand, why string) (tState, fState *State) {
+func (s *State) forkCmp(kind string, cmp isa.Cmp, x, y symbolic.Operand, why reason) (tState, fState *State) {
 	switch symbolic.DecideCmp(cmp, x, y) {
 	case symbolic.CmpTrue:
 		return s.fork(), nil
@@ -190,13 +190,13 @@ func (s *State) forkCmp(kind string, cmp isa.Cmp, x, y symbolic.Operand, why str
 		return nil, s.fork()
 	}
 	t := s.fork()
-	t.note(trace.KindFork, "%s: assume %s", why, cmp)
+	t.note(trace.KindFork, forkMsg{why, cmp})
 	if !t.applyCmp(cmp, x, y, why) {
 		t = nil
 		s.Stats.CountPrune()
 	}
 	f := s.fork()
-	f.note(trace.KindFork, "%s: assume %s", why, cmp.Negate())
+	f.note(trace.KindFork, forkMsg{why, cmp.Negate()})
 	if !f.applyCmp(cmp.Negate(), x, y, why) {
 		f = nil
 		s.Stats.CountPrune()
@@ -229,16 +229,16 @@ func (s *State) stepArith(in isa.Instr, bin isa.BinOp, imm bool) []*State {
 		// Paper: eq I / err = if isEqual(err, 0) then throw "div-zero" else err.
 		var out []*State
 		zero := s.fork()
-		zero.note(trace.KindFork, "divisor err: assume == 0")
-		if zero.constrainOperand(res.Divisor, isa.CmpEq, 0, "div-zero case") {
+		zero.note(trace.KindFork, trace.Text("divisor err: assume == 0"))
+		if zero.constrainOperand(res.Divisor, isa.CmpEq, 0, fixed(divZeroCase)) {
 			zero.raise(isa.ExcDivZero, "erroneous divisor assumed zero")
 			out = append(out, zero)
 		} else {
 			s.Stats.CountPrune()
 		}
 		nz := s.fork()
-		nz.note(trace.KindFork, "divisor err: assume != 0")
-		if nz.constrainOperand(res.Divisor, isa.CmpNe, 0, "div-nonzero case") {
+		nz.note(trace.KindFork, trace.Text("divisor err: assume != 0"))
+		if nz.constrainOperand(res.Divisor, isa.CmpNe, 0, fixed(divNonzeroCase)) {
 			nz.setReg(in.Rd, isa.Err(), symbolic.Term{}, false)
 			nz.PC++
 			out = append(out, nz)
@@ -259,8 +259,7 @@ func (s *State) stepArith(in isa.Instr, bin isa.BinOp, imm bool) []*State {
 
 func (s *State) stepSetCmp(in isa.Instr, cmp isa.Cmp, imm bool) []*State {
 	x, y := s.operandPair(in, imm)
-	why := fmt.Sprintf("%s at %s", in.Op, s.Prog.Locate(s.PC))
-	t, f := s.forkCmp(obs.ForkCmp, cmp, x, y, why)
+	t, f := s.forkCmp(obs.ForkCmp, cmp, x, y, reason{prog: s.Prog, pc: s.PC})
 	var out []*State
 	if t != nil {
 		t.setReg(in.Rd, isa.Int(1), symbolic.Term{}, false)
@@ -288,8 +287,7 @@ func (s *State) stepBranch(in isa.Instr) []*State {
 	if in.Op == isa.OpBne || in.Op == isa.OpBnei {
 		cmp = isa.CmpNe
 	}
-	why := fmt.Sprintf("%s at %s", in.Op, s.Prog.Locate(s.PC))
-	t, f := s.forkCmp(obs.ForkCmp, cmp, x, y, why)
+	t, f := s.forkCmp(obs.ForkCmp, cmp, x, y, reason{prog: s.Prog, pc: s.PC})
 	var out []*State
 	if t != nil {
 		t.PC = in.Target
@@ -341,10 +339,10 @@ func (s *State) stepLoad(in isa.Instr) []*State {
 	var out []*State
 
 	exc := s.fork()
-	exc.note(trace.KindFork, "load through erroneous pointer: assume undefined address")
+	exc.note(trace.KindFork, trace.Text("load through erroneous pointer: assume undefined address"))
 	feasible := true
 	for _, a := range s.definedAddrsSorted() {
-		if !exc.constrainOperand(base, isa.CmpNe, a-in.Imm, "address not defined") {
+		if !exc.constrainOperand(base, isa.CmpNe, a-in.Imm, fixed(addrNotDefined)) {
 			feasible = false
 			break
 		}
@@ -358,7 +356,7 @@ func (s *State) stepLoad(in isa.Instr) []*State {
 
 	if s.Opts.SymbolicMem {
 		c := s.fork()
-		c.note(trace.KindFork, "load through erroneous pointer: symbolic result")
+		c.note(trace.KindFork, trace.Text("load through erroneous pointer: symbolic result"))
 		c.setReg(in.Rt, isa.Err(), symbolic.Term{}, false)
 		c.PC++
 		out = append(out, c)
@@ -378,11 +376,11 @@ func (s *State) stepLoad(in isa.Instr) []*State {
 			continue
 		}
 		c := s.fork()
-		if !c.constrainOperand(base, isa.CmpEq, a-in.Imm, "load resolves") {
+		if !c.constrainOperand(base, isa.CmpEq, a-in.Imm, fixed(loadResolves)) {
 			s.Stats.CountPrune()
 			continue
 		}
-		c.note(trace.KindFork, "load through erroneous pointer resolved to %d", a)
+		c.note(trace.KindFork, resolvedMsg{addr: a})
 		op, _ := c.memOperand(a)
 		c.setReg(in.Rt, op.Val, op.Term, op.HasTerm)
 		c.PC++
@@ -455,11 +453,11 @@ func (s *State) stepStore(in isa.Instr) []*State {
 			continue
 		}
 		c := s.fork()
-		if !c.constrainOperand(base, isa.CmpEq, a-in.Imm, "store resolves") {
+		if !c.constrainOperand(base, isa.CmpEq, a-in.Imm, fixed(storeResolves)) {
 			s.Stats.CountPrune()
 			continue
 		}
-		c.note(trace.KindFork, "store through erroneous pointer resolved to %d", a)
+		c.note(trace.KindFork, resolvedMsg{store: true, addr: a})
 		c.setMem(a, val.Val, val.Term, val.HasTerm)
 		c.PC++
 		c.Truncated = c.Truncated || truncated
@@ -470,10 +468,10 @@ func (s *State) stepStore(in isa.Instr) []*State {
 	// has not touched; since loads from undefined addresses fault anyway,
 	// the write is unobservable through defined memory.
 	fresh := s.fork()
-	fresh.note(trace.KindFork, "store through erroneous pointer: assume fresh location")
+	fresh.note(trace.KindFork, trace.Text("store through erroneous pointer: assume fresh location"))
 	feasible := true
 	for _, a := range addrs {
-		if !fresh.constrainOperand(base, isa.CmpNe, a-in.Imm, "address not previously defined") {
+		if !fresh.constrainOperand(base, isa.CmpNe, a-in.Imm, fixed(addrNotPreviouslyDefined)) {
 			feasible = false
 			break
 		}
@@ -519,17 +517,17 @@ func (s *State) stepJr(in isa.Instr) []*State {
 			continue
 		}
 		c := s.fork()
-		if !c.constrainOperand(target, isa.CmpEq, int64(pc), "control target resolves") {
+		if !c.constrainOperand(target, isa.CmpEq, int64(pc), fixed(controlTargetResolves)) {
 			s.Stats.CountPrune()
 			continue
 		}
-		c.note(trace.KindControl, "control transferred through erroneous target to %s", s.Prog.Locate(pc))
+		c.note(trace.KindControl, controlMsg{prog: s.Prog, pc: pc})
 		c.PC = pc
 		c.Truncated = truncated
 		out = append(out, c)
 	}
 	exc := s.fork()
-	exc.note(trace.KindFork, "erroneous control target: assume invalid code address")
+	exc.note(trace.KindFork, trace.Text("erroneous control target: assume invalid code address"))
 	exc.raise(isa.ExcIllegalInstr, "jump through erroneous target")
 	exc.Truncated = truncated
 	out = append(out, exc)
@@ -578,16 +576,15 @@ func (s *State) stepCheck(in isa.Instr) []*State {
 		c.Exc.Detector = det.ID
 		return one(c)
 	}
-	why := fmt.Sprintf("detector %d at %s", det.ID, s.Prog.Locate(s.PC))
-	pass, fail := s.forkCmp(obs.ForkDetector, det.Cmp, target, expr, why)
+	pass, fail := s.forkCmp(obs.ForkDetector, det.Cmp, target, expr, reason{prog: s.Prog, pc: s.PC})
 	var out []*State
 	if pass != nil {
-		pass.note(trace.KindCheckPass, "detector %d passed: %s", det.ID, det)
+		pass.note(trace.KindCheckPass, checkPassMsg{det})
 		pass.PC++
 		out = append(out, pass)
 	}
 	if fail != nil {
-		fail.note(trace.KindDetect, "detector %d fired: %s", det.ID, det)
+		fail.note(trace.KindDetect, detectMsg{det})
 		fail.raise(isa.ExcDetected, fmt.Sprintf("detector %d: %s", det.ID, det))
 		fail.Exc.Detector = det.ID
 		out = append(out, fail)
