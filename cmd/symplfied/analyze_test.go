@@ -44,3 +44,25 @@ func TestAnalyzeJSONGolden(t *testing.T) {
 		t.Errorf("-analyze -json output changed (run with -update if intended)\ngot:\n%s\nwant:\n%s", buf.Bytes(), want)
 	}
 }
+
+// TestHardenTCASGolden pins the full `symplfied -harden -app tcas` report:
+// which coverage gaps the summaries drop as benign, which get detectors, and
+// the before/after sweep. Regenerate deliberately with
+// `go test ./cmd/symplfied -run TestHardenTCASGolden -update` and review the
+// diff.
+func TestHardenTCASGolden(t *testing.T) {
+	got := captureRun(t, "-harden", "-app", "tcas")
+	golden := filepath.Join("testdata", "harden_tcas.txt")
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if got != string(want) {
+		t.Errorf("-harden output changed (run with -update if intended)\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -33,26 +34,65 @@ func TestAnalyzeFlagsUnreachableDetector(t *testing.T) {
 	}
 }
 
-func TestPruneDeadSearch(t *testing.T) {
-	err := run(context.Background(), []string{
+// TestSummariesSearch checks that -summaries changes nothing but the
+// summarized: tally on a single-process search.
+func TestSummariesSearch(t *testing.T) {
+	assertSummariesTransparent(t,
 		"-app", "factorial", "-input", "5",
 		"-class", "register", "-goal", "err-output",
-		"-watchdog", "400", "-findings", "2", "-prune-dead",
-	})
-	if err != nil {
-		t.Fatal(err)
+		"-watchdog", "400", "-findings", "2",
+	)
+}
+
+// TestSummariesStudy is TestSummariesSearch on a decomposed study.
+func TestSummariesStudy(t *testing.T) {
+	assertSummariesTransparent(t,
+		"-app", "factorial", "-input", "5",
+		"-class", "register", "-goal", "incorrect-output",
+		"-watchdog", "400", "-tasks", "4", "-budget", "20000",
+	)
+}
+
+// assertSummariesTransparent runs args with and without -summaries and
+// fails t unless the two outputs are identical apart from the summarized:
+// line.
+func assertSummariesTransparent(t *testing.T, args ...string) {
+	t.Helper()
+	plain := captureRun(t, args...)
+	summarized := captureRun(t, append(args, "-summaries")...)
+	var kept []string
+	for _, line := range strings.SplitAfter(summarized, "\n") {
+		if !strings.HasPrefix(line, "summarized: ") {
+			kept = append(kept, line)
+		}
+	}
+	if got := strings.Join(kept, ""); got != plain {
+		t.Errorf("-summaries output differs beyond the summarized: line\nplain:\n%s\nsummarized:\n%s", plain, summarized)
 	}
 }
 
-func TestPruneDeadStudy(t *testing.T) {
-	err := run(context.Background(), []string{
-		"-app", "factorial", "-input", "5",
-		"-class", "register", "-goal", "incorrect-output",
-		"-watchdog", "400", "-tasks", "4", "-budget", "20000", "-prune-dead",
-	})
+// captureRun runs the CLI with args and returns what it printed to stdout.
+func captureRun(t *testing.T, args ...string) string {
+	t.Helper()
+	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
+	stdout := os.Stdout
+	os.Stdout = w
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	runErr := run(context.Background(), args)
+	os.Stdout = stdout
+	w.Close()
+	got := <-out
+	if runErr != nil {
+		t.Fatalf("run(%v): %v", args, runErr)
+	}
+	return got
 }
 
 func TestSequentialSearch(t *testing.T) {

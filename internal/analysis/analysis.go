@@ -7,8 +7,9 @@
 // the instruction" purely syntactically (Section 6.1). Dataflow liveness goes
 // further: an injection into a register that is dead at the injection point —
 // written before it is read on every path — provably cannot change the
-// execution, so the checker can classify it benign without exploring it (see
-// checker.PruneContext). The lint pass closes the loop on the paper's
+// execution. That is the base case of summary.Set.EffectOf, so a summarized
+// sweep (checker.Spec.UseSummaries) classifies it benign without exploring
+// it. The lint pass closes the loop on the paper's
 // detector model (Section 5.3): a CHECK annotation that can never execute, or
 // one that guards a value no subsequent instruction reads, is a silent
 // coverage hole this package reports statically.
@@ -129,8 +130,8 @@ type Analysis struct {
 	NeverWritten []RegSet
 
 	// Demand-computed passes (Gaps, Consts): built on first use so callers
-	// that only prune injections never pay for them, cached so the structure
-	// stays shareable.
+	// that only classify injections never pay for them, cached so the
+	// structure stays shareable.
 	gapsOnce   sync.Once
 	gaps       []Gap
 	constsOnce sync.Once

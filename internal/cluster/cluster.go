@@ -139,18 +139,14 @@ type TaskReport struct {
 	Panics int
 	// InjectionsDone counts injections fully explored.
 	InjectionsDone int
-	// Pruned counts injections classified benign by a liveness proof
-	// (checker.InjectionReport.Pruned): one explored representative per dead
-	// site plus every elided reuse. Zero unless the spec enables
-	// PruneDeadInjections.
-	Pruned int `json:",omitempty"`
 	// Merged counts injections explored with post-dominator state merging
 	// (checker.InjectionReport.Merged). Their verdicts match the plain
 	// exploration's; StatesExplored reflects the elided work.
 	Merged int `json:",omitempty"`
-	// Summarized counts injections classified benign by a compositional
-	// function summary (checker.InjectionReport.Summarized). Zero unless
-	// the spec enables UseSummaries.
+	// Summarized counts injections classified benign by the summary proof
+	// (checker.InjectionReport.Summarized): one explored representative per
+	// benign site plus every elided reuse. Zero unless the spec enables
+	// UseSummaries.
 	Summarized int `json:",omitempty"`
 	// StatesExplored counts symbolic states expanded by the task.
 	StatesExplored int
@@ -208,11 +204,10 @@ func RunCtx(ctx context.Context, spec checker.Spec, tasks []Task, cfg Config) []
 	if budget <= 0 {
 		budget = DefaultTaskStateBudget
 	}
-	// Resolve the pruning and summary contexts once so every task in the
-	// study shares one analysis and one representative exploration per
-	// breakpoint; without this, each task-spec copy would rebuild its own
-	// memo. The merge context likewise shares one control-flow analysis.
-	spec.EnsurePrune()
+	// Resolve the summary context once so every task in the study shares one
+	// summary set and one representative exploration per breakpoint; without
+	// this, each task-spec copy would rebuild its own memo. The merge context
+	// likewise shares one control-flow analysis.
 	spec.EnsureSummaries()
 	spec.EnsureMerge()
 
@@ -303,10 +298,9 @@ func RunTaskCtx(ctx context.Context, spec checker.Spec, task Task, budget, maxFi
 	if budget <= 0 {
 		budget = DefaultTaskStateBudget
 	}
-	// Share one pruning/summary context across this task's injections (a
-	// caller that installed spec.Prune or spec.Summaries — RunCtx, a dist
-	// worker — shares it wider), and likewise the merge context.
-	spec.EnsurePrune()
+	// Share one summary context across this task's injections (a caller
+	// that installed spec.Summaries — RunCtx, a dist worker — shares it
+	// wider), and likewise the merge context.
 	spec.EnsureSummaries()
 	spec.EnsureMerge()
 	if workers := taskPoolSize(spec.Parallelism, len(task.Injections)); workers > 1 {
@@ -522,9 +516,6 @@ func PoolReports(task Task, irs []checker.InjectionReport, maxFindings int) Task
 	for _, ir := range irs {
 		rep.StatesExplored += ir.StatesExplored
 		rep.Exec.Merge(ir.Exec)
-		if ir.Pruned {
-			rep.Pruned++
-		}
 		if ir.Summarized {
 			rep.Summarized++
 		}
@@ -574,11 +565,14 @@ type Summary struct {
 	Interrupted int
 	// Panics counts isolated panicking injections across all tasks.
 	Panics int
-	// Pruned counts injections across all tasks that a liveness proof
-	// classified benign instead of (or alongside) exploring.
+	// Pruned is always 0.
+	//
+	// Deprecated: injections elided by liveness count in Summarized. Kept
+	// only for the benchmark module (perfbench), which builds against this
+	// package unedited.
 	Pruned int
-	// Summarized counts injections across all tasks that a compositional
-	// summary proof classified benign.
+	// Summarized counts injections across all tasks that the summary proof
+	// classified benign.
 	Summarized int
 	// Merged counts injections across all tasks explored with
 	// post-dominator state merging.
@@ -599,7 +593,6 @@ func Summarize(reports []TaskReport) Summary {
 	for _, r := range reports {
 		s.TotalStates += r.StatesExplored
 		s.TotalInjections += r.InjectionsDone
-		s.Pruned += r.Pruned
 		s.Summarized += r.Summarized
 		s.Merged += r.Merged
 		s.Findings = append(s.Findings, r.Findings...)

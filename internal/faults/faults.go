@@ -9,7 +9,11 @@
 // An Injection is one element of a fault class: a breakpoint (static PC and
 // dynamic occurrence) plus a manifestation. The enumerators generate the
 // paper's campaigns, e.g. "err in each register used by each instruction,
-// injected just before that instruction" (Section 6.1).
+// injected just before that instruction" (Section 6.1). Enumerators never
+// drop provably benign injections: the exhaustive register space keeps every
+// register at every instruction, and checker.Spec.UseSummaries elides the
+// benign ones — dead registers included — while still reporting one verdict
+// per injection, as the paper's tables tally.
 package faults
 
 import (

@@ -44,9 +44,8 @@ const (
 	MFrontier      = "symplfied_frontier_states"     // gauge: live frontier width (summed over workers)
 	MFrontierMax   = "symplfied_frontier_max_states" // gauge: high-water frontier width
 
-	// Static analysis (internal/analysis) and liveness-based pruning.
-	MPrunedInjections = "symplfied_pruned_injections_total" // explorations elided by a liveness proof
-	MLintDiags        = "symplfied_lint_diagnostics_total"  // label severity: error|warning
+	// Static analysis (internal/analysis).
+	MLintDiags = "symplfied_lint_diagnostics_total" // label severity: error|warning
 
 	// Compositional fault summaries (internal/summary) and summary-based
 	// injection elision (internal/checker).

@@ -7,10 +7,13 @@ import (
 	"strings"
 	"testing"
 
+	"symplfied/internal/analysis"
 	"symplfied/internal/asm"
 	"symplfied/internal/checker"
 	"symplfied/internal/faults"
+	"symplfied/internal/isa"
 	"symplfied/internal/query"
+	"symplfied/internal/summary"
 )
 
 // fuzzRd draws bytes from the fuzz input, cycling (and defaulting to zero)
@@ -92,6 +95,8 @@ func genSource(data []byte) string {
 // byte-identical to the plain whole-program sweep, apart from the Summarized
 // markers. A composed summary that wrongly classifies an injection benign
 // either panics in the cross-check or diverges the reports; both fail here.
+// Every program must also satisfy the containment claim of
+// TestTCASSummariesClassify: every register dead at a site is benign.
 func FuzzSummaryCompose(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
@@ -102,6 +107,15 @@ func FuzzSummaryCompose(f *testing.F) {
 		u, err := asm.Parse("fuzz", src)
 		if err != nil {
 			t.Fatalf("generator emitted unparsable program: %v\n%s", err, src)
+		}
+		live := analysis.Analyze(u.Program, u.Detectors)
+		set := summary.Build(u.Program, u.Detectors, nil)
+		for pc := 0; pc < u.Program.Len(); pc++ {
+			for r := isa.Reg(1); r < isa.NumRegs; r++ {
+				if e, ok := set.EffectOf(pc, r); live.DeadAt(pc, r) && (!ok || !e.Benign()) {
+					t.Fatalf("%s dead before pc %d but EffectOf = %v ok=%v in:\n%s", r, pc, e, ok, src)
+				}
+			}
 		}
 		q := query.Query{Class: faults.ClassRegister, Goal: query.GoalErrOutput}
 		spec, err := q.Build(u.Program, u.Detectors, nil)

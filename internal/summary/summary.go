@@ -5,9 +5,12 @@
 // registers still carry it when the function returns. Summaries compose at
 // call sites (a jal consults the callee's summary instead of re-descending),
 // so a campaign can classify an injection as provably benign from the
-// summary of the function containing its site, the per-function analogue of
-// the per-site liveness pruning of internal/checker.PruneContext and the
-// FastFlip-style decomposition described in PAPERS.md.
+// summary of the function containing its site — the FastFlip-style
+// decomposition described in PAPERS.md. Register liveness
+// (internal/analysis) is the base case of that classification: a register
+// dead at the site is benign without consulting any summary, so the one
+// classifier covers everything the per-site liveness proof does as well as
+// taint that dies later, in a callee or in a caller continuation.
 //
 // Summaries are content-addressed: each function's summary is keyed by an
 // FNV-1a hash of its body (entry-relative pcs, canonical operand fields),
@@ -169,6 +172,9 @@ type Set struct {
 	Funcs *Funcs
 	Stats BuildStats
 
+	// live is the program's dataflow analysis, whose register liveness is
+	// EffectOf's base case.
+	live *analysis.Analysis
 	sums []*FuncSummary
 	// cont[i][loc] is the effect of err residing in loc at the moment
 	// function i returns, composed over every continuation the return can
@@ -182,12 +188,13 @@ type Set struct {
 // Funcs.Funcs.
 func (s *Set) Summaries() []*FuncSummary { return s.sums }
 
-// Build partitions prog, computes or loads the summary of every function in
-// bottom-up call-graph order, and resolves the caller-continuation fixpoint.
-// cache may be nil (everything is computed). Detectors may be nil.
+// Build analyzes prog's liveness, partitions it, computes or loads the
+// summary of every function in bottom-up call-graph order, and resolves the
+// caller-continuation fixpoint. cache may be nil (everything is computed).
+// Detectors may be nil.
 func Build(prog *isa.Program, dets *detector.Table, cache *Cache) *Set {
 	fs := Partition(prog, dets)
-	s := &Set{Funcs: fs, sums: make([]*FuncSummary, len(fs.Funcs))}
+	s := &Set{Funcs: fs, live: analysis.Analyze(prog, dets), sums: make([]*FuncSummary, len(fs.Funcs))}
 	s.points.init()
 	s.Stats.Functions = len(fs.Funcs)
 	for i, f := range fs.Funcs {

@@ -3,8 +3,12 @@ package summary
 import (
 	"testing"
 
+	"symplfied/internal/analysis"
+	"symplfied/internal/apps/factorial"
+	"symplfied/internal/apps/replace"
 	"symplfied/internal/apps/tcas"
 	"symplfied/internal/asm"
+	"symplfied/internal/detector"
 	"symplfied/internal/isa"
 )
 
@@ -280,8 +284,12 @@ func TestOpaqueGuards(t *testing.T) {
 	if !s.Funcs.Funcs[0].Opaque {
 		t.Fatal("indirect jr did not mark the function opaque")
 	}
-	if e, ok := s.EffectOf(0, 2); !ok || e != EffAll {
-		t.Fatalf("opaque effect = %v ok=%v, want EffAll", e, ok)
+	if e, ok := s.EffectOf(0, 5); !ok || e != EffAll {
+		t.Fatalf("opaque effect of live $5 = %v ok=%v, want EffAll", e, ok)
+	}
+	// Liveness is the base case, opaque or not: nothing reads $2.
+	if e, ok := s.EffectOf(0, 2); !ok || !e.Benign() {
+		t.Fatalf("opaque effect of dead $2 = %v ok=%v, want none", e, ok)
 	}
 	// mov into $31 is an undisciplined RA write.
 	u2 := asm.MustParse("t", "\tmov $31 $3\n\tjr $31\n")
@@ -291,23 +299,53 @@ func TestOpaqueGuards(t *testing.T) {
 	}
 }
 
-// TestTCASSummariesBenign spot-checks the summary classifier against
-// liveness on the real program: summaries must (at least) classify benign
-// everything the per-site liveness proof does, at the sites the partition
-// covers.
+// TestTCASSummariesClassify checks the claim EffectOf's doc makes: the
+// summaries classify benign every register injection the per-site liveness
+// proof does — at every (pc, register) of the three paper programs, with and
+// without detectors — and, on tcas, strictly more.
 func TestTCASSummariesClassify(t *testing.T) {
-	prog := tcas.Program()
-	s := Build(prog, nil, nil)
-	benign := 0
+	fdet, dets := factorial.WithDetectors()
+	for _, tc := range []struct {
+		name string
+		prog *isa.Program
+		dets *detector.Table
+	}{
+		{"tcas", tcas.Program(), nil},
+		{"replace", replace.Program(), nil},
+		{"factorial", factorial.Plain(), nil},
+		{"factorial+detectors", fdet, dets},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dead, benign := assertContainsLiveness(t, tc.prog, tc.dets)
+			if tc.name == "tcas" && benign <= dead {
+				t.Errorf("tcas: %d benign sites, want more than the %d dead ones", benign, dead)
+			}
+			t.Logf("%s: %d dead, %d benign (pc, reg) sites", tc.name, dead, benign)
+		})
+	}
+}
+
+// assertContainsLiveness fails t at every (pc, reg >= 1) of prog where the
+// register is dead but EffectOf does not prove the injection benign, and
+// returns the dead and benign site counts.
+func assertContainsLiveness(t *testing.T, prog *isa.Program, dets *detector.Table) (dead, benign int) {
+	t.Helper()
+	s := Build(prog, dets, nil)
+	a := analysis.Analyze(prog, dets)
 	for pc := 0; pc < prog.Len(); pc++ {
 		for r := isa.Reg(1); r < isa.NumRegs; r++ {
-			if e, ok := s.EffectOf(pc, r); ok && e.Benign() {
+			e, ok := s.EffectOf(pc, r)
+			if ok && e.Benign() {
 				benign++
+			}
+			if !a.DeadAt(pc, r) {
+				continue
+			}
+			dead++
+			if !ok || !e.Benign() {
+				t.Errorf("%s dead before pc %d (%s) but EffectOf = %v ok=%v", r, pc, prog.Locate(pc), e, ok)
 			}
 		}
 	}
-	if benign == 0 {
-		t.Fatal("summaries classify nothing benign on tcas")
-	}
-	t.Logf("tcas: %d benign (pc, reg) sites", benign)
+	return dead, benign
 }

@@ -309,9 +309,19 @@ func (s *Set) afterEffect(fi, pc int, loc taintLoc) Effect {
 // function covers) returns the maximal effect with ok=false. A zero effect
 // with ok=true is a proof the injection is benign — under the calling
 // convention stated on Partition.
+//
+// The base case is liveness: a register dead at pc (analysis.DeadAt —
+// written before it is read on every path) is benign whatever function
+// covers the site. The composed taint proof alone cannot show this for a
+// register a callee overwrites, such as $2 before a jal whose callee
+// returns a fresh value in it, because the summary taint has no must-kill
+// across calls.
 func (s *Set) EffectOf(pc int, r isa.Reg) (e Effect, ok bool) {
 	if r == isa.RegZero || !r.Valid() || !s.Funcs.Prog.ValidPC(pc) {
 		return EffAll, false
+	}
+	if s.live.DeadAt(pc, r) {
+		return 0, true
 	}
 	return s.effectAt(pc, taintLoc(r))
 }

@@ -253,28 +253,19 @@ type SearchSpec struct {
 	// summaries are captured, bounding memory on huge campaigns. Findings
 	// then have State == nil; Describe still works.
 	DiscardStates bool
-	// PruneDeadInjections elides explorations a liveness proof shows are
-	// redundant: a transient register error injected into a register that
-	// every path overwrites before reading cannot propagate, so one
-	// representative exploration per breakpoint stands in for all dead
-	// registers there (each such report is marked Pruned). Verdicts are
-	// identical to an unpruned run's; like Parallelism this is an
+	// UseSummaries elides explorations a proof shows are redundant: a
+	// transient register error injected into a register that every path
+	// overwrites before reading (liveness), or whose taint per-function
+	// summaries — composed across call sites and return continuations —
+	// show reaches no output, no detector read, and no control decision,
+	// cannot change the run, so one representative exploration per
+	// breakpoint stands in for all such registers there (each such report
+	// is marked Summarized). The composed half rests on the
+	// calling-convention assumption documented on summary.Partition.
+	// Verdicts are identical to a plain run's; like Parallelism this is an
 	// operational knob, excluded from the campaign fingerprint. See
-	// internal/analysis, and SYMPLFIED_CHECK_PRUNING to audit the proof on
+	// internal/summary, and SYMPLFIED_CHECK_SUMMARIES to audit the proof on
 	// a live run.
-	PruneDeadInjections bool
-	// UseSummaries elides explorations a compositional fault summary proves
-	// benign: per-function taint summaries, composed across call sites and
-	// return continuations, show the injected err reaches no output, no
-	// detector read, and no control decision (each such report is marked
-	// Summarized). It covers taint that dies later, or in a callee, which
-	// PruneDeadInjections cannot, at the cost of the calling-convention
-	// assumption documented on summary.Partition; that assumption treats the
-	// return-value register $2 as escaping, so some dead-$2 injections are
-	// pruned but not summarized, and neither class contains the other.
-	// Operational like Parallelism: excluded from the campaign fingerprint.
-	// See internal/summary, and SYMPLFIED_CHECK_SUMMARIES to audit the
-	// proof on a live run.
 	UseSummaries bool
 	// MergeStates explores each injection with post-dominator state merging
 	// and cycle acceleration (checker.Spec.MergeStates): states that rejoin
@@ -319,7 +310,6 @@ func (s SearchSpec) build() (checker.Spec, error) {
 	spec.PerInjectionTimeout = s.PerInjectionTimeout
 	spec.Parallelism = s.Parallelism
 	spec.DiscardStates = s.DiscardStates
-	spec.PruneDeadInjections = s.PruneDeadInjections
 	spec.UseSummaries = s.UseSummaries
 	spec.SummaryCache = s.SummaryCache
 	spec.MergeStates = s.MergeStates
@@ -400,15 +390,11 @@ type StudyConfig struct {
 	// study or Workers: 1 — since cluster.RunCtx keeps a multi-task pool
 	// from oversubscribing the cores.
 	Parallelism int
-	// PruneDeadInjections enables the liveness-based pruning of
-	// SearchSpec.PruneDeadInjections for the whole study: one shared proof
-	// context spans every task, so a breakpoint's representative exploration
-	// is reused across task boundaries. Task reports and the pooled summary
-	// are identical to the unpruned study's apart from the Pruned markers.
-	PruneDeadInjections bool
 	// UseSummaries enables SearchSpec.UseSummaries for the whole study: one
 	// shared summary set and representative memo span every task, so a
-	// benign site's exploration is reused across task boundaries.
+	// benign site's exploration is reused across task boundaries. Task
+	// reports and the pooled summary are identical to the plain study's
+	// apart from the Summarized markers.
 	UseSummaries bool
 	// MergeStates enables SearchSpec.MergeStates for the whole study: one
 	// shared control-flow analysis spans every task, and each task's
@@ -445,9 +431,6 @@ func StudyCtx(ctx context.Context, s SearchSpec, cfg StudyConfig) ([]TaskReport,
 	}
 	if cfg.Parallelism != 0 {
 		spec.Parallelism = cfg.Parallelism
-	}
-	if cfg.PruneDeadInjections {
-		spec.PruneDeadInjections = true
 	}
 	if cfg.UseSummaries {
 		spec.UseSummaries = true
